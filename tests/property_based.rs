@@ -10,9 +10,11 @@ use cqcs::structures::homomorphism::{find_homomorphism, homomorphism_exists};
 use cqcs::structures::product::{direct_product, projections};
 use cqcs::structures::{generators, is_homomorphism, BitSet};
 use cqcs::treewidth::bb::{bb_treewidth, elimination_width};
+use cqcs::treewidth::dp::solve_with_decomposition;
 use cqcs::treewidth::exact::{dp_treewidth, exact_treewidth};
 use cqcs::treewidth::heuristics::{
-    decomposition_from_elimination, min_degree_order, min_fill_order, min_fill_order_reference,
+    decomposition_from_elimination, min_degree_order, min_fill_decomposition, min_fill_order,
+    min_fill_order_reference,
 };
 use cqcs::treewidth::lower_bounds::{mmd_lower_bound, mmd_plus_lower_bound};
 use proptest::prelude::*;
@@ -803,6 +805,83 @@ proptest! {
         let grid = cqcs::structures::gaifman_graph(&generators::grid_graph(r, c));
         prop_assert_eq!(exact_treewidth(&grid), r.min(c));
     }
+
+    /// The treewidth DP (Theorem 5.4) against the brute-force search:
+    /// equal verdicts, and every witness is a homomorphism. Structures
+    /// mix arities 0–3 with repeated-element tuples (`T(x, x, y)`), `|B|`
+    /// runs from 1 to 5, and each instance is solved under the min-fill
+    /// decomposition and under a shuffled elimination order, so tree
+    /// shapes, roots and separators vary.
+    #[test]
+    fn treewidth_dp_matches_brute_force(
+        a_facts in proptest::collection::vec((any::<u8>(), proptest::collection::vec(0u32..8, 3)), 0..=12),
+        na in 1usize..=6,
+        b_facts in proptest::collection::vec((any::<u8>(), proptest::collection::vec(0u32..8, 3)), 0..=30),
+        nb in 1usize..=5,
+        order_keys in proptest::collection::vec(any::<u64>(), 6),
+    ) {
+        let a = build_arities_0_to_3(na, &a_facts);
+        let b = build_arities_0_to_3(nb, &b_facts);
+        check_dp_against_brute_force(&a, &b, &order_keys)?;
+    }
+
+    /// The same check with `|B| = 41`: `T`'s `B^3` has 68 921 > 2^16
+    /// points, so its membership takes the binary-search side of the
+    /// DP's bitmap cap, while `U` and `E` stay on bitmaps.
+    #[test]
+    fn treewidth_dp_matches_brute_force_past_bitmap_cap(
+        a_facts in proptest::collection::vec((any::<u8>(), proptest::collection::vec(0u32..8, 3)), 0..=8),
+        na in 1usize..=5,
+        b_facts in proptest::collection::vec((any::<u8>(), proptest::collection::vec(0u32..41, 3)), 0..=120),
+        order_keys in proptest::collection::vec(any::<u64>(), 5),
+    ) {
+        let a = build_arities_0_to_3(na, &a_facts);
+        let b = build_arities_0_to_3(41, &b_facts);
+        check_dp_against_brute_force(&a, &b, &order_keys)?;
+    }
+}
+
+/// Builds a structure over `{Z/0, U/1, E/2, T/3}` from `(symbol, args)`
+/// facts; arguments are reduced modulo `n` and truncated to the arity.
+fn build_arities_0_to_3(n: usize, facts: &[(u8, Vec<u32>)]) -> cqcs::structures::Structure {
+    let mut voc = cqcs::structures::Vocabulary::new();
+    for (name, arity) in [("Z", 0), ("U", 1), ("E", 2), ("T", 3)] {
+        voc.add(name, arity).unwrap();
+    }
+    let mut b = cqcs::structures::StructureBuilder::new(voc.into_shared(), n);
+    for (which, args) in facts {
+        let arity = (*which % 4) as usize;
+        let name = ["Z", "U", "E", "T"][arity];
+        let args: Vec<u32> = args.iter().take(arity).map(|&v| v % n as u32).collect();
+        b.add_fact(name, &args).unwrap();
+    }
+    b.finish()
+}
+
+/// Solves `hom(a → b)` with the treewidth DP under the min-fill
+/// decomposition and under the elimination order that sorts `a`'s
+/// elements by `order_keys`, checking each against the brute-force
+/// search.
+fn check_dp_against_brute_force(
+    a: &cqcs::structures::Structure,
+    b: &cqcs::structures::Structure,
+    order_keys: &[u64],
+) -> Result<(), TestCaseError> {
+    let expected = homomorphism_exists(a, b);
+    let g = cqcs::structures::gaifman_graph(a);
+    let mut shuffled: Vec<usize> = (0..a.universe()).collect();
+    shuffled.sort_by_key(|&v| order_keys[v]);
+    for td in [
+        min_fill_decomposition(&g),
+        decomposition_from_elimination(&g, &shuffled),
+    ] {
+        let h = solve_with_decomposition(a, b, &td).expect("decomposition of A's Gaifman graph");
+        prop_assert_eq!(h.is_some(), expected);
+        if let Some(h) = h {
+            prop_assert!(is_homomorphism(h.as_slice(), a, b));
+        }
+    }
+    Ok(())
 }
 
 /// Strategy: a digraph template past the single-word regime — universe
