@@ -56,7 +56,6 @@ use crate::session::{solve_on_template, CompiledTemplate};
 use crate::solvers::backtracking::{SearchScratch, SearchStats};
 use crate::solvers::dispatch::{Solution, SolveError, Strategy};
 use cqcs_pebble::program::{ProgramPropagator, PropProgram};
-use cqcs_pebble::propagator::Propagator;
 use cqcs_structures::{Structure, WorkStealQueue};
 use cqcs_treewidth::acyclic::GyoScratch;
 use std::cell::UnsafeCell;
@@ -71,13 +70,9 @@ use std::sync::Arc;
 /// rebuilds the engine (recycling the arena allocation).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch<'s> {
-    /// The compiled engine, for routes that propagate: executes the
-    /// template's shared [`PropProgram`] over this worker's arena.
+    /// The propagation engine: executes the template's shared
+    /// [`PropProgram`] over this worker's arena.
     prog: Option<ProgramPropagator<'s>>,
-    /// The interpreted engine, index-free, for plain searches (no
-    /// MAC/AC): they never propagate, so they must not pay for a
-    /// support index or a compiled program.
-    plain: Option<Propagator<'s>>,
     search: SearchScratch,
     gyo: GyoScratch,
     stats: SearchStats,
@@ -137,26 +132,6 @@ impl<'s> WorkerScratch<'s> {
         }
         (
             self.prog.as_mut().expect("engine just ensured"),
-            &mut self.search,
-        )
-    }
-
-    /// The interpreted, index-free engine rebound to instance `a`, for
-    /// plain (no MAC/AC) searches: the search only snapshots the full
-    /// domains, so building a support index or compiled program for it
-    /// would be pure waste — and a retained engine that was never
-    /// established must stay index-free across reuse.
-    pub(crate) fn plain_engine(
-        &mut self,
-        a: &'s Structure,
-        b: &'s Structure,
-    ) -> (&mut Propagator<'s>, &mut SearchScratch) {
-        match &mut self.plain {
-            Some(p) if std::ptr::eq(p.right(), b) => p.reset_for_instance(a),
-            slot => *slot = Some(Propagator::new(a, b)),
-        }
-        (
-            self.plain.as_mut().expect("engine just ensured"),
             &mut self.search,
         )
     }

@@ -16,13 +16,13 @@
 //!   the tractable route the paper proves correct, falling back to
 //!   search only when no theorem applies;
 //! * [`session`] — the serving shape of the same algorithm:
-//!   [`Session::compile`] fixes the template `B` once (support index,
-//!   Schaefer classification, Booleanized template — each computed at
-//!   most once) and [`Session::solve`] / [`Session::solve_batch`]
-//!   stream instances against it. [`solve`] is a thin
-//!   compile-then-solve wrapper, so both entry points route
-//!   identically; a [`CompiledTemplate`] is immutable and `Sync`, ready
-//!   to be shared across threads or shards;
+//!   [`Session::compile`] fixes the template `B` once (propagation
+//!   program, Schaefer classification, Booleanized template — each
+//!   computed at most once) and [`Session::solve`] /
+//!   [`Session::solve_batch`] stream instances against it. [`solve`]
+//!   is a thin compile-then-solve wrapper, so both entry points route
+//!   identically; a [`CompiledTemplate`] is immutable and `Sync`,
+//!   ready to be shared across threads or shards;
 //! * [`exec`] — the multi-threaded batch driver over that shared
 //!   template: [`Session::par_solve_batch`] /
 //!   [`BatchExecutor`] fan a batch out to work-stealing workers, each

@@ -3,8 +3,8 @@
 //! The paper's reduction sends CQ containment to `hom(A → B)` with one
 //! side fixed: in the CSP(`B`) serving regime many instances `A` stream
 //! against a single template `B`. A plain [`solve`](crate::solve) call
-//! rebuilds everything about `B` per instance — the
-//! [`SupportIndex`] behind arc-consistency propagation, the Schaefer
+//! rebuilds everything about `B` per instance — the propagation
+//! program (and the support index it is compiled from), the Schaefer
 //! classification, the Booleanized template and *its* classification.
 //! [`CompiledTemplate`] computes each of these once; [`Session`] then
 //! answers `hom(A → B)` per instance with only the genuinely
@@ -48,7 +48,7 @@ use cqcs_boolean::booleanize::{
 use cqcs_boolean::schaefer::SchaeferSet;
 use cqcs_boolean::uniform::{schaefer_classes, solve_schaefer};
 use cqcs_pebble::program::PropProgram;
-use cqcs_structures::{Element, Homomorphism, Structure, SupportIndex};
+use cqcs_structures::{Element, Homomorphism, Structure};
 use cqcs_treewidth::acyclic::{yannakakis_pooled, GyoScratch};
 use cqcs_treewidth::bb::bb_treewidth_best_effort_seeded;
 use cqcs_treewidth::dp::solve_with_decomposition;
@@ -66,12 +66,9 @@ pub(crate) struct TemplateFacts {
     /// Schaefer classification of `B` (`None` unless `B` is Boolean and
     /// classifiable).
     schaefer: OnceLock<Option<SchaeferSet>>,
-    /// Support index over `B`'s tuples, shared by every propagator the
-    /// template spawns.
-    support: OnceLock<Arc<SupportIndex>>,
-    /// The flat propagation program compiled from the support index —
-    /// what every MAC/AC route actually executes. Chained off
-    /// [`support`](TemplateFacts::support), so the index is built at
+    /// The flat propagation program compiled from `B`'s support index —
+    /// what every propagating route and every search executes, shared
+    /// by every engine the template spawns, so the index is built at
     /// most once per template no matter how routes interleave.
     program: OnceLock<Arc<PropProgram>>,
     /// The Booleanized template and its classification (`None` when `B`
@@ -91,19 +88,11 @@ impl TemplateFacts {
         })
     }
 
-    /// The support index over `b`'s tuples (built on first use, then
-    /// shared by every subsequent solve).
-    fn support(&self, b: &Structure) -> &Arc<SupportIndex> {
-        self.support
-            .get_or_init(|| Arc::new(SupportIndex::build(b)))
-    }
-
-    /// The compiled propagation program over `b` (lowered from the
-    /// shared support index on first use, then shared by every
-    /// subsequent solve).
+    /// The compiled propagation program over `b` (built on first use,
+    /// then shared by every subsequent solve).
     fn program(&self, b: &Structure) -> &Arc<PropProgram> {
         self.program
-            .get_or_init(|| Arc::new(PropProgram::compile(b, self.support(b))))
+            .get_or_init(|| Arc::new(PropProgram::for_template(b)))
     }
 
     /// The Booleanized template (Lemma 3.5) with its Schaefer
@@ -124,7 +113,7 @@ impl TemplateFacts {
 
 /// Everything the dispatcher ever needs to know about a fixed template
 /// `B`, computed at most once. [`compile`] itself only clones `B`; the
-/// Schaefer classification, the support index, and the Booleanized
+/// Schaefer classification, the propagation program, and the Booleanized
 /// template are each built lazily on first use, so a template never
 /// pays for a fact its routes don't read.
 ///
@@ -156,21 +145,15 @@ impl CompiledTemplate {
         self.facts.schaefer(&self.b)
     }
 
-    /// The support index over `B`'s tuples (built on first use, then
-    /// shared by every subsequent solve).
-    pub fn support(&self) -> &Arc<SupportIndex> {
-        self.facts.support(&self.b)
-    }
-
     /// The flat propagation program compiled for `B` (built on first
-    /// use from the shared support index) — what every MAC/AC solve
-    /// against this template executes.
+    /// use from `B`'s support index) — what every search and
+    /// propagating route against this template executes.
     pub fn program(&self) -> &Arc<PropProgram> {
         self.facts.program(&self.b)
     }
 
-    /// Forces the lazy per-template state — the support index and the
-    /// propagation program chained off it — to exist *now*, on the
+    /// Forces the lazy per-template state — the propagation program
+    /// and the support index it is compiled from — to exist *now*, on the
     /// calling thread. Serving paths call this at registration time so
     /// the first solve against a fresh template pays a hash probe, not
     /// the full lowering.
@@ -332,18 +315,12 @@ fn solve_on<'s>(
             .ok_or(SolveError::RouteNotApplicable("A is not acyclic")),
         Strategy::Treewidth => Ok(treewidth_route(a, b)),
         Strategy::Generic(opts) => {
-            // Hand the search the scratch engine — the template's
-            // compiled program when it will establish arc consistency,
-            // and the index-free interpreted engine for plain searches
-            // (which only read the full domains and must not pay for
-            // compiling anything).
-            let (h, stats) = if opts.mac || opts.ac_preprocess {
-                let (prop, search) = scratch.compiled_engine(a, b, facts.program(b));
-                backtracking_search_scratch(opts, prop, search)
-            } else {
-                let (prop, search) = scratch.plain_engine(a, b);
-                backtracking_search_scratch(opts, prop, search)
-            };
+            // Hand the search the scratch engine over the template's
+            // cached program. A plain search (no MAC/AC) never
+            // establishes, so it compiles nothing the session has not
+            // already compiled.
+            let (prop, search) = scratch.compiled_engine(a, b, facts.program(b));
+            let (h, stats) = backtracking_search_scratch(opts, prop, search);
             Ok(Solution {
                 homomorphism: h,
                 route: Route::Generic,
@@ -606,8 +583,8 @@ mod tests {
     fn compiled_template_is_shareable_across_sessions_and_threads() {
         let k3 = generators::complete_graph(3);
         let template = Arc::new(CompiledTemplate::compile(&k3));
-        // Force the lazy index once; clones of the Arc share it.
-        let _ = template.support();
+        // Force the lazy program once; clones of the Arc share it.
+        let _ = template.program();
         let handles: Vec<_> = (0..4u64)
             .map(|seed| {
                 let t = Arc::clone(&template);

@@ -6,7 +6,7 @@
 //!
 //! * **MRV** — pick the unassigned element with the fewest candidates;
 //! * **MAC** — after each tentative assignment, maintain hyperarc
-//!   consistency via `cqcs-pebble`'s incremental [`Propagator`]:
+//!   consistency via `cqcs-pebble`'s incremental [`ProgramPropagator`]:
 //!   `assign(x := v)` propagates only from the tuples through changed
 //!   elements, and `undo()` rolls the trail back in O(changed), instead
 //!   of cloning the full domain vector and refining from scratch at
@@ -16,18 +16,16 @@
 //! "maintaining" means), so with `mac: true` the root domains are
 //! established once even when `ac_preprocess` is off.
 //!
-//! The search is generic over [`PropagationEngine`], so the dispatcher
-//! hands it either the interpreted [`Propagator`] (the reference
-//! specification, and what [`backtracking_search`] builds for
-//! standalone calls) or the compiled
-//! [`ProgramPropagator`](cqcs_pebble::ProgramPropagator) running a
-//! template's flat [`PropProgram`](cqcs_pebble::PropProgram) — the two
-//! produce bit-identical witnesses and statistics (pinned by the
-//! property suite and experiment E16).
+//! Every search runs on a [`ProgramPropagator`] over the template's
+//! compiled [`PropProgram`]. Sessions, batches and the server hand
+//! [`backtracking_search_with`] an engine over the template's cached
+//! program; the standalone [`backtracking_search`] compiles `B` per
+//! call. A plain search (neither MAC nor AC) never establishes: it only
+//! reads the engine's full domains, so the program goes unused.
 
-use cqcs_pebble::program::PropagationEngine;
-use cqcs_pebble::propagator::Propagator;
+use cqcs_pebble::program::{ProgramPropagator, PropProgram};
 use cqcs_structures::{Element, Homomorphism, Structure};
+use std::sync::Arc;
 
 /// Search configuration (all on by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +100,7 @@ pub fn backtracking_search(
     b: &Structure,
     opts: SearchOptions,
 ) -> (Option<Homomorphism>, SearchStats) {
-    let mut prop = Propagator::new(a, b);
+    let mut prop = ProgramPropagator::new(a, b, Arc::new(PropProgram::for_template(b)));
     backtracking_search_with(opts, &mut prop)
 }
 
@@ -114,9 +112,9 @@ pub fn backtracking_search(
 /// # Panics
 /// Panics if the propagator has open assignment frames — the search
 /// unwinds to depth 0 on exit and must not pop a caller's own frames.
-pub fn backtracking_search_with<'s, P: PropagationEngine<'s>>(
+pub fn backtracking_search_with(
     opts: SearchOptions,
-    prop: &mut P,
+    prop: &mut ProgramPropagator<'_>,
 ) -> (Option<Homomorphism>, SearchStats) {
     backtracking_search_scratch(opts, prop, &mut SearchScratch::default())
 }
@@ -129,9 +127,9 @@ pub fn backtracking_search_with<'s, P: PropagationEngine<'s>>(
 ///
 /// # Panics
 /// Panics if the propagator has open assignment frames.
-pub fn backtracking_search_scratch<'s, P: PropagationEngine<'s>>(
+pub fn backtracking_search_scratch(
     opts: SearchOptions,
-    prop: &mut P,
+    prop: &mut ProgramPropagator<'_>,
     scratch: &mut SearchScratch,
 ) -> (Option<Homomorphism>, SearchStats) {
     assert_eq!(prop.depth(), 0, "search requires a depth-0 propagator");
@@ -198,12 +196,12 @@ pub fn backtracking_search_scratch<'s, P: PropagationEngine<'s>>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn descend<'s, P: PropagationEngine<'s>>(
+fn descend(
     a: &Structure,
     b: &Structure,
     opts: &SearchOptions,
     stats: &mut SearchStats,
-    prop: &mut P,
+    prop: &mut ProgramPropagator<'_>,
     assigned: &mut Vec<Option<Element>>,
     candidate_pool: &mut Vec<Vec<usize>>,
     depth: usize,
@@ -489,14 +487,15 @@ mod tests {
         // reproduce the fresh-buffer search exactly: witnesses and
         // statistics bit for bit.
         let k3 = generators::complete_graph(3);
+        let program = Arc::new(PropProgram::for_template(&k3));
         let mut scratch = SearchScratch::default();
         for seed in 0..10u64 {
             let n = 6 + (seed as usize % 5);
             let a = generators::random_graph_nm(n, 2 * n - 4, seed);
             for opts in all_option_combos() {
-                let mut prop = Propagator::new(&a, &k3);
+                let mut prop = ProgramPropagator::new(&a, &k3, Arc::clone(&program));
                 let pooled = backtracking_search_scratch(opts, &mut prop, &mut scratch);
-                let mut prop = Propagator::new(&a, &k3);
+                let mut prop = ProgramPropagator::new(&a, &k3, Arc::clone(&program));
                 let fresh = backtracking_search_with(opts, &mut prop);
                 assert_eq!(
                     pooled.0.as_ref().map(Homomorphism::as_slice),
@@ -512,7 +511,7 @@ mod tests {
     fn search_reuses_an_established_propagator() {
         let a = generators::random_graph_nm(10, 18, 4);
         let b = generators::complete_graph(3);
-        let mut prop = Propagator::new(&a, &b);
+        let mut prop = ProgramPropagator::new(&a, &b, Arc::new(PropProgram::for_template(&b)));
         assert!(prop.establish());
         let (h1, _) = backtracking_search_with(SearchOptions::default(), &mut prop);
         assert_eq!(prop.depth(), 0, "search unwinds its trail frames");

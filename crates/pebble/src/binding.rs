@@ -1,27 +1,24 @@
-//! The shared instance-binding seam of both propagation engines.
+//! The instance-binding seam of the propagation engine.
 //!
-//! [`Propagator::reset_for_instance`](crate::Propagator::reset_for_instance)
-//! and [`ProgramPropagator`](crate::ProgramPropagator) used to each
-//! re-derive "what does binding instance `A` mean" — the vocabulary
-//! check, the universe size, the per-relation tuple geometry — with
-//! slightly different resize choreography. This module hoists that
-//! description into one audited place:
+//! Binding an instance `A` to a compiled template — and deciding when
+//! a [`StructureDelta`] may repair an established fixpoint in place
+//! rather than rebind from scratch — is described here, apart from the
+//! [`ProgramPropagator`](crate::ProgramPropagator) that executes it, so
+//! the rules can be read and tested on their own:
 //!
 //! * [`InstanceBinding`] — the validated geometry of a fresh bind
-//!   (vocabulary-checked universe and tuple counts). Both engines
-//!   derive their internal shapes (domain vectors, queued flags,
-//!   prefix-sum tuple bases, arena layouts) from it.
+//!   (vocabulary-checked universe and tuple counts), from which the
+//!   engine derives its prefix-sum tuple bases and arena layout.
 //! * [`DeltaPlan`] / [`plan_delta`] — the admission decision for the
 //!   incremental delta-bind path: either a worklist seed list
-//!   (re-propagate only from the tuples a [`StructureDelta`] touched)
-//!   or a full rebind with the reason. Every rule that makes the
-//!   in-place repair sound — engine at an established, consistent
-//!   fixpoint with no open search frames; additions only (retractions
-//!   can restore support); no 0-ary additions (those have a dedicated
-//!   wipeout path in `establish`); delta small relative to the
-//!   instance — lives here, so the interpreted engine (the executable
-//!   reference spec), the compiled engine, and any future binder agree
-//!   by construction.
+//!   (re-propagate only from the tuples a delta touched) or a full
+//!   rebind with the reason. Every rule that makes the in-place repair
+//!   sound or worthwhile lives here: the engine sits at an established,
+//!   consistent fixpoint with no open search frames; the delta only
+//!   adds facts (retractions can restore support); it keeps the
+//!   universe (the arena layout is keyed on `|A|`, so growth rebinds);
+//!   it adds no 0-ary facts (those have a dedicated wipeout path in
+//!   `establish`); and it is small relative to the instance.
 
 use cqcs_structures::{RelId, Structure, StructureDelta};
 
@@ -30,8 +27,8 @@ use cqcs_structures::{RelId, Structure, StructureDelta};
 /// tuples, fall back (the repair would re-revise most of `A` anyway).
 pub const REBIND_FACTOR: usize = 4;
 
-/// Validated fresh-bind geometry: what both engines need to (re)size
-/// their per-instance state for `a` against template `b`.
+/// Validated fresh-bind geometry: what the engine needs to (re)size
+/// its per-instance state for `a` against template `b`.
 #[derive(Debug, Clone)]
 pub struct InstanceBinding {
     /// `|A|`.
@@ -47,7 +44,7 @@ impl InstanceBinding {
     ///
     /// # Panics
     /// Panics if the structures are over different vocabularies — the
-    /// single authoritative check both engines' bind paths share.
+    /// single authoritative check of the engine's bind paths.
     pub fn plan(a: &Structure, b: &Structure) -> InstanceBinding {
         assert!(
             a.same_vocabulary(b),
@@ -92,10 +89,6 @@ pub struct EngineState {
     pub consistent: bool,
     /// Open `assign` frames — repair only runs at depth 0.
     pub depth: usize,
-    /// Whether this engine can repair across universe growth (the
-    /// interpreted engine can extend its domain vector; the compiled
-    /// arena layout is universe-keyed and rebinds instead).
-    pub allow_growth: bool,
     /// Universe of the currently bound structure — the delta must be
     /// anchored there.
     pub bound_universe: usize,
@@ -148,7 +141,7 @@ pub fn plan_delta(
             reason: "retractions can restore support",
         };
     }
-    if delta.grows_universe() && !state.allow_growth {
+    if delta.grows_universe() {
         return DeltaPlan::Rebind {
             reason: "universe growth re-keys the layout",
         };
@@ -199,7 +192,6 @@ mod tests {
             established: true,
             consistent: true,
             depth: 0,
-            allow_growth: true,
             bound_universe: a.universe(),
             bound_tuples: a.total_tuples(),
         }
@@ -327,16 +319,10 @@ mod tests {
         let mut growing = cqcs_structures::StructureDelta::new(&a);
         growing.grow_universe(1);
         let a2g = growing.apply(&a).unwrap();
-        let mut s = fixpoint_on(&a);
-        s.allow_growth = false;
         assert_eq!(
-            rebind_reason(plan_delta(&a2g, &b, &growing, s)),
+            rebind_reason(plan_delta(&a2g, &b, &growing, fixpoint_on(&a))),
             "universe growth re-keys the layout"
         );
-        assert!(matches!(
-            plan_delta(&a2g, &b, &growing, fixpoint_on(&a)),
-            DeltaPlan::Incremental { .. }
-        ));
 
         // A delta that does not describe the handed instance degrades
         // to a rebind instead of corrupting the repair.

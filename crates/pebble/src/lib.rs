@@ -10,20 +10,19 @@
 //!   to `k` ([KV95]); a greatest-fixpoint pruning with counter-based
 //!   cascade, the algorithmic content of Theorem 4.7(1);
 //! * [`consistency`] — (hyper)arc consistency, the practical pruning
-//!   companion used by the uniform solver in `cqcs-core`;
-//! * [`propagator`] — the incremental propagation engine behind it:
-//!   support-indexed revisions, a trail of domain deltas for
-//!   `assign`/`undo` in O(changed), and change-seeded worklists, so
-//!   MAC search never re-establishes consistency from scratch;
-//! * [`program`] — the compiled form of the same engine: a
-//!   [`PropProgram`] lowers the template's support index into flat
-//!   CSR-style `u64` pools, and a [`ProgramPropagator`] executes it
-//!   over a single arena allocation with bit-identical behaviour to
-//!   [`Propagator`] (which survives as the executable reference
-//!   specification);
-//! * [`binding`] — the shared instance-binding seam of both engines:
-//!   validated fresh-bind geometry ([`InstanceBinding`]) and the
-//!   admission rules ([`plan_delta`]) that decide when a
+//!   companion used by the uniform solver in `cqcs-core`: one-shot
+//!   fixpoints, plus [`refine_domains_reference`](consistency::refine_domains_reference),
+//!   the from-scratch rescanning specification the engine is tested
+//!   against;
+//! * [`program`] — the propagation engine behind it: a [`PropProgram`]
+//!   lowers the template's support index into flat CSR-style `u64`
+//!   pools, and a [`ProgramPropagator`] executes it over a single arena
+//!   allocation — change-seeded worklists, and a trail of domain deltas
+//!   for `assign`/`undo` in O(changed), so MAC search never
+//!   re-establishes consistency from scratch;
+//! * [`binding`] — the engine's instance-binding seam: validated
+//!   fresh-bind geometry ([`InstanceBinding`]) and the admission rules
+//!   ([`plan_delta`]) that decide when a
 //!   [`StructureDelta`](cqcs_structures::StructureDelta) can repair an
 //!   established fixpoint in place instead of rebinding from scratch;
 //! * [`solver`] — the decision procedure of Theorem 4.9: `Spoiler wins ⟹
@@ -34,15 +33,10 @@ pub mod binding;
 pub mod consistency;
 pub mod game;
 pub mod program;
-pub mod propagator;
 pub mod solver;
 
 pub use binding::{plan_delta, DeltaPlan, EngineState, InstanceBinding, REBIND_FACTOR};
-pub use consistency::{
-    arc_consistent_domains, arc_consistent_domains_with_support, refine_domains,
-    refine_domains_with_support, ArcConsistency,
-};
+pub use consistency::{arc_consistent_domains, refine_domains, ArcConsistency};
 pub use game::{duplicator_wins, solve_game, Config, GameAnalysis};
-pub use program::{ProgramPropagator, PropProgram, PropagationEngine, SavedPropState};
-pub use propagator::Propagator;
+pub use program::{ProgramPropagator, PropProgram, SavedPropState};
 pub use solver::{pebble_filter, spoiler_wins, PebbleOutcome};

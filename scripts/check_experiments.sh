@@ -70,18 +70,20 @@ if echo "$e15" | grep -qE '\| false \|'; then
   exit 1
 fi
 
-# E16 pins the compiled propagation engine to the interpreted
-# reference: every row's `identical` column must hold (witnesses and
-# full search statistics compared bit for bit between the compiled
-# ProgramPropagator — arena reused and fresh — and the interpreted
-# Propagator on the same MRV+MAC search).
+# E16 pins the propagation engine to independent oracles: every row's
+# `identical` column must hold (for the ProgramPropagator with its
+# arena reused and with a fresh arena, on every instance: the root
+# fixpoint's verdict, domains and deletions against the from-scratch
+# refine_domains_reference scan, the MRV+MAC search verdict against
+# brute-force homomorphism_exists, and each witness through
+# is_homomorphism).
 if ! grep -q '^## E16' "$regen"; then
   echo "E16 compiled-propagation table is missing." >&2
   exit 1
 fi
 e16="$(sed -n '/^## E16/,/^## /p' "$regen")"
 if echo "$e16" | grep -qE '\| false \|'; then
-  echo "E16 reports a compiled/interpreted divergence:" >&2
+  echo "E16 reports a propagation-engine/oracle divergence:" >&2
   echo "$e16" | grep -E '\| false \|' >&2
   exit 1
 fi
@@ -189,4 +191,4 @@ if ! grep -q "$newest" EXPERIMENTS_HISTORY.md; then
   echo "EXPERIMENTS_HISTORY.md does not track the $newest timing columns." >&2
   exit 1
 fi
-echo "EXPERIMENTS.md is fresh (E13 cross-validation agrees and validates; E14 session, E15 parallel, E16 compiled-engine, E17 delta-solve, E18 wire, and E19 pipelined parity hold; E17 speedups >= 3x; E19 depth-8 speedup >= 1.5x with zero steady-state buffer growths; E20 chaos invariants hold: no hangs, no losses, no duplicates, no divergence)."
+echo "EXPERIMENTS.md is fresh (E13 cross-validation agrees and validates; E14 session, E15 parallel, E16 engine-vs-oracle, E17 delta-solve, E18 wire, and E19 pipelined parity hold; E17 speedups >= 3x; E19 depth-8 speedup >= 1.5x with zero steady-state buffer growths; E20 chaos invariants hold: no hangs, no losses, no duplicates, no divergence)."

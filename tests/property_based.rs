@@ -5,10 +5,10 @@ use cqcs::boolean::relation::BooleanRelation;
 use cqcs::boolean::schaefer;
 use cqcs::core::{backtracking_search, solve, SearchOptions, Session, Strategy as SolveStrategy};
 use cqcs::pebble::consistency::{arc_consistent_domains, refine_domains, refine_domains_reference};
-use cqcs::pebble::propagator::Propagator;
+use cqcs::pebble::program::{ProgramPropagator, PropProgram};
 use cqcs::structures::homomorphism::{find_homomorphism, homomorphism_exists};
 use cqcs::structures::product::{direct_product, projections};
-use cqcs::structures::{generators, is_homomorphism, BitSet};
+use cqcs::structures::{generators, is_homomorphism, BitSet, Element, Structure};
 use cqcs::treewidth::bb::{bb_treewidth, elimination_width};
 use cqcs::treewidth::dp::solve_with_decomposition;
 use cqcs::treewidth::exact::{dp_treewidth, exact_treewidth};
@@ -19,6 +19,7 @@ use cqcs::treewidth::heuristics::{
 use cqcs::treewidth::lower_bounds::{mmd_lower_bound, mmd_plus_lower_bound};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Strategy: a small random digraph structure.
 fn digraph(max_n: usize, max_edges: usize) -> impl Strategy<Value = cqcs::structures::Structure> {
@@ -188,7 +189,8 @@ proptest! {
         }
     }
 
-    /// The incremental propagator is a drop-in for the reference
+    /// The one-shot `refine_domains` (the propagation engine behind a
+    /// per-call compiled program) is a drop-in for the reference
     /// from-scratch refinement on arbitrary mixed-arity instances and
     /// arbitrary (possibly already restricted) starting domains: the
     /// consistency verdict always agrees, and whenever consistent the
@@ -221,45 +223,23 @@ proptest! {
         }
     }
 
-    /// Incremental `assign`/`undo` on the propagator reaches exactly
-    /// the fixpoint a from-scratch refinement of the narrowed domains
-    /// reaches, and `undo` restores the previous state bit for bit.
+    /// Incremental `assign`/`undo` on the propagation engine reaches
+    /// exactly the fixpoint a from-scratch refinement of the narrowed
+    /// domains reaches (same verdict; same domains and deletions when
+    /// consistent), and every `undo` restores the state below it bit
+    /// for bit — after failed assigns and while unwinding a stack of
+    /// successful ones.
     #[test]
     fn propagator_assign_undo_is_exact(
         (a, b) in mixed_arity_pair(4, 3, 6),
         picks in proptest::collection::vec((0usize..8, 0usize..8), 1..4),
     ) {
-        let mut prop = Propagator::new(&a, &b);
-        if !prop.establish() {
-            return Ok(());
+        let mut prop = engine(&a, &b);
+        let ok = prop.establish();
+        check_fixpoint(&prop, ok)?;
+        if ok {
+            drive_against_reference(&mut prop, picks.into_iter().map(|(x, v)| (x, v, false)))?;
         }
-        let mut snapshots: Vec<Vec<BitSet>> = vec![prop.domains().to_vec()];
-        for (xe, vv) in picks {
-            let x = cqcs::structures::Element::new(xe % a.universe());
-            let dom = prop.domain(x);
-            if dom.is_empty() {
-                break;
-            }
-            let v = dom.iter().nth(vv % dom.len()).unwrap();
-            // From-scratch reference on the same narrowing.
-            let mut narrowed = prop.domains().to_vec();
-            narrowed[x.index()].clear();
-            narrowed[x.index()].insert(v);
-            let reference = refine_domains_reference(&a, &b, narrowed);
-            let ok = prop.assign(x, v);
-            prop_assert_eq!(ok, reference.consistent);
-            if !ok {
-                prop.undo();
-                prop_assert_eq!(prop.domains(), &snapshots.last().unwrap()[..]);
-                continue;
-            }
-            prop_assert_eq!(prop.domains(), &reference.domains[..]);
-            snapshots.push(prop.domains().to_vec());
-        }
-        while prop.depth() > 0 {
-            prop.undo();
-        }
-        prop_assert_eq!(prop.domains(), &snapshots[0][..]);
     }
 
     /// All eight `SearchOptions` combinations agree with the reference
@@ -514,147 +494,72 @@ proptest! {
         prop_assert_eq!(min_fill_order(&g), min_fill_order_reference(&g));
     }
 
-    /// The compiled engine is bit-identical to the interpreted
-    /// reference spec and the from-scratch reference refinement on
-    /// random mixed-arity templates: establishment verdict, domains,
-    /// deletion count, and open-frame depth agree after `establish` and
-    /// after arbitrary `assign`/`undo` round-trips (including failed
-    /// assigns, where even the partially pruned domains must match,
-    /// because the compiled engine replays the interpreted pruning
-    /// order exactly). Stress-runnable via `PROPTEST_CASES=5000`.
+    /// The propagation engine against the from-scratch reference
+    /// refinement on random mixed-arity templates: the establish
+    /// verdict, then domains and deletion count at the fixpoint; for
+    /// every assign of an arbitrary pick sequence, the verdict, and the
+    /// domains and the assign's deletions whenever consistent; the
+    /// open-frame depth after every assign and undo; and an exact
+    /// restore of the previous snapshot on every undo, failed assigns
+    /// included. Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
-    fn compiled_engine_matches_interpreted_and_reference(
+    fn compiled_engine_matches_reference(
         (a, b) in mixed_arity_pair(4, 3, 6),
         picks in proptest::collection::vec((0usize..8, 0usize..8, any::<bool>()), 0..5),
     ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::SupportIndex;
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
-        let mut interp = Propagator::new(&a, &b);
-        let mut comp = ProgramPropagator::new(&a, &b, std::sync::Arc::clone(&program));
-        let ok = interp.establish();
-        prop_assert_eq!(comp.establish(), ok);
-        prop_assert_eq!(comp.deletions(), interp.deletions());
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
+        let mut comp = engine(&a, &b);
+        let ok = comp.establish();
+        check_fixpoint(&comp, ok)?;
         if ok {
-            // Both engines sit on the reference fixpoint.
-            let full = vec![BitSet::full(b.universe()); a.universe()];
-            let reference = refine_domains_reference(&a, &b, full);
-            prop_assert!(reference.consistent);
-            prop_assert_eq!(&comp.domains_vec()[..], &reference.domains[..]);
+            drive_against_reference(&mut comp, picks.into_iter())?;
         }
-        for (xe, vv, undo_now) in picks {
-            if !ok || !interp.is_consistent() {
-                break;
-            }
-            let x = cqcs::structures::Element::new(xe % a.universe());
-            let dom = interp.domain(x);
-            if dom.is_empty() {
-                break;
-            }
-            let v = dom.iter().nth(vv % dom.len()).unwrap();
-            let ok_i = interp.assign(x, v);
-            prop_assert_eq!(comp.assign(x, v), ok_i);
-            prop_assert_eq!(comp.deletions(), interp.deletions());
-            prop_assert_eq!(comp.depth(), interp.depth());
-            prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-            if !ok_i || undo_now {
-                interp.undo();
-                comp.undo();
-                prop_assert_eq!(comp.depth(), interp.depth());
-                prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-            }
-        }
-        while interp.depth() > 0 {
-            interp.undo();
-            comp.undo();
-        }
-        prop_assert_eq!(comp.depth(), 0);
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
     }
 
-    /// Same equivalence on templates past the single-word regime
-    /// (universe > 64, often > 64 tuples per relation), forcing the
-    /// compiled engine's multi-word kernels rather than its scalar
-    /// specialization. Stress-runnable via `PROPTEST_CASES=5000`.
+    /// Same pin on templates past the single-word regime (universe >
+    /// 64, often > 64 tuples per relation), forcing the engine's
+    /// multi-word kernels rather than its scalar specialization.
+    /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
-    fn compiled_engine_matches_interpreted_wide(
+    fn compiled_engine_matches_reference_wide(
         a in digraph(6, 12),
         b in wide_digraph(),
         picks in proptest::collection::vec((0usize..8, 0usize..8), 0..3),
     ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::SupportIndex;
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
-        let mut interp = Propagator::new(&a, &b);
-        let mut comp = ProgramPropagator::new(&a, &b, std::sync::Arc::clone(&program));
-        let ok = interp.establish();
-        prop_assert_eq!(comp.establish(), ok);
-        prop_assert_eq!(comp.deletions(), interp.deletions());
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
-        for (xe, vv) in picks {
-            if !ok || !interp.is_consistent() {
-                break;
-            }
-            let x = cqcs::structures::Element::new(xe % a.universe());
-            let dom = interp.domain(x);
-            if dom.is_empty() {
-                break;
-            }
-            let v = dom.iter().nth(vv % dom.len()).unwrap();
-            prop_assert_eq!(comp.assign(x, v), interp.assign(x, v));
-            prop_assert_eq!(comp.deletions(), interp.deletions());
-            prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
+        let mut comp = engine(&a, &b);
+        let ok = comp.establish();
+        check_fixpoint(&comp, ok)?;
+        if ok {
+            drive_against_reference(&mut comp, picks.into_iter().map(|(x, v)| (x, v, false)))?;
         }
-        while interp.depth() > 0 {
-            interp.undo();
-            comp.undo();
-        }
-        prop_assert_eq!(&comp.domains_vec()[..], interp.domains());
     }
 
     /// `apply_delta` is a drop-in for a fresh bind on the post-delta
-    /// instance, for both propagation engines, under arbitrary
-    /// add/retract streams on mixed-arity instances: same establish
-    /// verdict after every step, and whenever consistent the same
-    /// fixpoint domains and deletion count (the repaired trail is the
-    /// fixpoint's complement, so equal domains pin the trail as a
-    /// set). Covers both the incremental repair and the
-    /// too-large-delta / wipeout fallback paths, whichever the
-    /// admission rules pick. Stress-runnable via `PROPTEST_CASES=5000`.
+    /// instance under arbitrary add/retract streams on mixed-arity
+    /// instances: after every step the verdict, domains and deletion
+    /// count equal a fresh engine's exactly (wipeouts included), and
+    /// the verdict — plus domains and deletions whenever consistent —
+    /// equals the from-scratch reference refinement. Covers both the
+    /// incremental repair and the too-large-delta / wipeout fallback
+    /// paths, whichever the admission rules pick. Stress-runnable via
+    /// `PROPTEST_CASES=5000`.
     #[test]
-    fn apply_delta_matches_fresh_bind_on_both_engines(
+    fn apply_delta_matches_fresh_bind_and_reference(
         (b, na, script) in delta_stream(4, 4, 5),
     ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::SupportIndex;
         let (structures, deltas) = materialize_stream(na, &script);
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
-        let mut interp = Propagator::new(&structures[0], &b);
-        let mut comp = ProgramPropagator::new(&structures[0], &b, std::sync::Arc::clone(&program));
-        interp.establish();
+        let program = Arc::new(PropProgram::for_template(&b));
+        let mut comp = ProgramPropagator::new(&structures[0], &b, Arc::clone(&program));
         comp.establish();
         for (delta, post) in deltas.iter().zip(&structures[1..]) {
-            let ok_i = interp.apply_delta(post, delta);
-            let ok_c = comp.apply_delta(post, delta);
-            let mut fresh = Propagator::new(post, &b);
-            let ok_f = fresh.establish();
-            prop_assert_eq!(ok_i, ok_f, "interpreted verdict");
-            prop_assert_eq!(ok_c, ok_f, "compiled verdict");
-            if ok_f {
-                prop_assert_eq!(interp.domains(), fresh.domains(), "interpreted domains");
-                prop_assert_eq!(&comp.domains_vec()[..], fresh.domains(), "compiled domains");
-                prop_assert_eq!(interp.deletions(), fresh.deletions(), "interpreted deletions");
-                prop_assert_eq!(comp.deletions(), fresh.deletions(), "compiled deletions");
-            }
-            prop_assert_eq!(interp.depth(), 0);
+            let ok = comp.apply_delta(post, delta);
             prop_assert_eq!(comp.depth(), 0);
+            check_matches_fresh(&comp, ok, &program)?;
         }
     }
 
     /// The same pin on a wide template (universe > 64, multi-word
-    /// kernels in the compiled engine) under an additive-then-churning
-    /// digraph stream. Stress-runnable via `PROPTEST_CASES=5000`.
+    /// kernels) under an additive-then-churning digraph stream.
+    /// Stress-runnable via `PROPTEST_CASES=5000`.
     #[test]
     fn apply_delta_matches_fresh_bind_wide_template(
         b in wide_digraph(),
@@ -663,8 +568,7 @@ proptest! {
             proptest::collection::vec((0u32..6, 0u32..6), 1..=3), 1..=6,
         ),
     ) {
-        use cqcs::pebble::program::{ProgramPropagator, PropProgram};
-        use cqcs::structures::{StructureDelta, SupportIndex};
+        use cqcs::structures::StructureDelta;
         let voc = generators::digraph_vocabulary();
         let mut facts: HashSet<Vec<u32>> = HashSet::new();
         let build = |facts: &HashSet<Vec<u32>>| {
@@ -686,19 +590,13 @@ proptest! {
             }
             structures.push(build(&facts));
         }
-        let program = std::sync::Arc::new(PropProgram::compile(&b, &SupportIndex::build(&b)));
-        let mut comp = ProgramPropagator::new(&structures[0], &b, std::sync::Arc::clone(&program));
+        let program = Arc::new(PropProgram::for_template(&b));
+        let mut comp = ProgramPropagator::new(&structures[0], &b, Arc::clone(&program));
         comp.establish();
         for w in structures.windows(2) {
             let delta = StructureDelta::between(&w[0], &w[1]).unwrap();
-            let ok_c = comp.apply_delta(&w[1], &delta);
-            let mut fresh = Propagator::new(&w[1], &b);
-            let ok_f = fresh.establish();
-            prop_assert_eq!(ok_c, ok_f, "wide verdict");
-            if ok_f {
-                prop_assert_eq!(&comp.domains_vec()[..], fresh.domains(), "wide domains");
-                prop_assert_eq!(comp.deletions(), fresh.deletions(), "wide deletions");
-            }
+            let ok = comp.apply_delta(&w[1], &delta);
+            check_matches_fresh(&comp, ok, &program)?;
         }
     }
 
@@ -884,6 +782,125 @@ fn check_dp_against_brute_force(
     Ok(())
 }
 
+/// A propagation engine over a freshly compiled program for `b`.
+fn engine<'s>(a: &'s Structure, b: &'s Structure) -> ProgramPropagator<'s> {
+    ProgramPropagator::new(a, b, Arc::new(PropProgram::for_template(b)))
+}
+
+/// The engine's domains, after checking that its O(1) size cache (what
+/// MRV reads) agrees with them.
+fn domains_of(p: &ProgramPropagator<'_>) -> Result<Vec<BitSet>, TestCaseError> {
+    let domains = p.domains_vec();
+    for (e, d) in domains.iter().enumerate() {
+        prop_assert_eq!(
+            p.domain_size(Element::new(e)),
+            d.len(),
+            "size cache of {}",
+            e
+        );
+    }
+    Ok(domains)
+}
+
+/// Pins an engine that has just established (verdict `ok`) to the
+/// reference fixpoint of its instance: the verdict always, the domains
+/// and the deletion count whenever consistent.
+fn check_fixpoint(p: &ProgramPropagator<'_>, ok: bool) -> Result<(), TestCaseError> {
+    let (a, b) = (p.left(), p.right());
+    let reference = refine_domains_reference(a, b, vec![BitSet::full(b.universe()); a.universe()]);
+    prop_assert_eq!(ok, reference.consistent, "establish verdict");
+    if ok {
+        prop_assert_eq!(domains_of(p)?, reference.domains, "fixpoint domains");
+        prop_assert_eq!(p.deletions(), reference.deletions, "fixpoint deletions");
+    }
+    Ok(())
+}
+
+/// Drives an established, consistent engine through `picks` — each an
+/// (element, value index, undo-now) triple resolved against the live
+/// domains — pinning every assign to a from-scratch reference
+/// refinement of the narrowed domains (verdict; domains and the
+/// assign's deletions when consistent), undoing failed assigns (and
+/// those flagged undo-now) with an exact restore check, then unwinding
+/// every open frame, each undo restoring the snapshot below it.
+fn drive_against_reference(
+    p: &mut ProgramPropagator<'_>,
+    picks: impl Iterator<Item = (usize, usize, bool)>,
+) -> Result<(), TestCaseError> {
+    let (a, b) = (p.left(), p.right());
+    let mut snapshots = vec![domains_of(p)?];
+    let mut values = Vec::new();
+    for (xe, vv, undo_now) in picks {
+        let x = Element::new(xe % a.universe());
+        p.domain_values_into(x, &mut values);
+        let v = values[vv % values.len()];
+        let before = snapshots.last().unwrap().clone();
+        let mut narrowed = before.clone();
+        narrowed[x.index()].clear();
+        narrowed[x.index()].insert(v);
+        let reference = refine_domains_reference(a, b, narrowed);
+        let (depth, deletions) = (p.depth(), p.deletions());
+        let ok = p.assign(x, v);
+        prop_assert_eq!(ok, reference.consistent, "verdict of {:?} := {}", x, v);
+        prop_assert_eq!(p.depth(), depth + 1);
+        if ok {
+            prop_assert_eq!(
+                domains_of(p)?,
+                reference.domains,
+                "domains after {:?} := {}",
+                x,
+                v
+            );
+            // The assign itself prunes dom(x) to {v}; the reference
+            // starts from that narrowing.
+            prop_assert_eq!(
+                p.deletions() - deletions,
+                before[x.index()].len() - 1 + reference.deletions,
+                "deletions of {:?} := {}",
+                x,
+                v
+            );
+        }
+        if !ok || undo_now {
+            p.undo();
+            prop_assert_eq!(p.depth(), depth);
+            prop_assert_eq!(domains_of(p)?, before, "undo of {:?} := {}", x, v);
+        } else {
+            snapshots.push(domains_of(p)?);
+        }
+    }
+    while p.depth() > 0 {
+        p.undo();
+        snapshots.pop();
+        prop_assert_eq!(&domains_of(p)?, snapshots.last().unwrap(), "unwinding undo");
+    }
+    prop_assert_eq!(snapshots.len(), 1);
+    Ok(())
+}
+
+/// Pins a post-delta engine (verdict `ok`) exactly to a fresh engine on
+/// the same instance — verdict, domains and deletions, wipeouts
+/// included — and to the reference fixpoint.
+fn check_matches_fresh(
+    p: &ProgramPropagator<'_>,
+    ok: bool,
+    program: &Arc<PropProgram>,
+) -> Result<(), TestCaseError> {
+    let mut fresh = ProgramPropagator::new(p.left(), p.right(), Arc::clone(program));
+    prop_assert_eq!(ok, fresh.establish(), "verdict vs a fresh bind");
+    prop_assert_eq!(
+        domains_of(p)?,
+        fresh.domains_vec(),
+        "domains vs a fresh bind"
+    );
+    prop_assert_eq!(
+        p.deletions(),
+        fresh.deletions(),
+        "deletions vs a fresh bind"
+    );
+    check_fixpoint(p, ok)
+}
+
 /// Strategy: a digraph template past the single-word regime — universe
 /// in 65..=80 (two domain words) and enough edges that the `E` relation
 /// frequently exceeds 64 tuples (two support words).
@@ -903,11 +920,11 @@ fn wide_digraph() -> impl Strategy<Value = cqcs::structures::Structure> {
 }
 
 /// One compiled template never rebuilds its support index: across a
-/// batch of session solves on every route that touches propagation
-/// (the Auto dispatcher's AC prefilter, Generic MAC/AC searches, and
-/// index-free Generic searches), the per-thread build counter moves
-/// exactly once. Guards the regression where the interpreted engine and
-/// the compiled program each lowered their own index for the same `B`.
+/// batch of session solves on every route that runs the propagation
+/// engine (the Auto dispatcher's AC prefilter, Generic MAC/AC searches,
+/// and plain Generic searches), the per-thread build counter moves
+/// exactly once. Guards the regression where two engines each lowered
+/// their own index for the same `B`.
 #[test]
 fn support_index_built_once_per_template() {
     use cqcs::structures::support_builds_on_this_thread;
@@ -928,7 +945,8 @@ fn support_index_built_once_per_template() {
                 ac_preprocess: true,
             }),
         );
-        // The index-free search route must not build an index at all.
+        // A plain search never establishes; it runs on the session's
+        // one program and must not build a second index.
         let _ = session.solve_with(
             a,
             SolveStrategy::Generic(SearchOptions {
