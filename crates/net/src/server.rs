@@ -72,7 +72,8 @@
 //!   [`ErrorCode::Internal`] reply, never the shard. If an executor
 //!   thread dies anyway, a supervisor respawns it and **re-queues** the
 //!   admitted jobs it was holding (exactly once per job — a job that
-//!   kills its executor twice is answered `Internal`). Accept errors
+//!   kills its executor twice is answered `Internal`), until shutdown
+//!   has drained every connection. Accept errors
 //!   are split transient/fatal, and the whole failure ledger — panics
 //!   caught, shards respawned, accept faults, client retries — is
 //!   visible in `Status`. See ARCHITECTURE.md's "Failure model".
@@ -312,6 +313,10 @@ struct Shared {
     /// Cleared when shutdown begins: acceptor stops accepting and
     /// readers stop reading *new* requests.
     accepting: AtomicBool,
+    /// Cleared by shutdown only once every connection has drained: until
+    /// then the supervisor keeps respawning crashed executors, whose
+    /// swept jobs hold replies the connection writers are waiting for.
+    supervising: AtomicBool,
     counters: Counters,
 }
 
@@ -362,6 +367,7 @@ impl Server {
             shards,
             outstanding: AtomicUsize::new(0),
             accepting: AtomicBool::new(true),
+            supervising: AtomicBool::new(true),
             counters: Counters::default(),
             cfg,
         });
@@ -416,28 +422,29 @@ impl Server {
         // 1. Stop admitting connections and new requests.
         self.shared.accepting.store(false, Ordering::SeqCst);
         // 2. Wake the acceptor's blocking accept() with a throwaway
-        //    connection and join it, then the supervisor (it re-checks
-        //    the flag every poll_interval).
+        //    connection and join it.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
         // 3. Join connection threads. Each reader finishes the frame it
         //    is reading and exits; each writer drains once the reader
         //    and every in-flight job for that connection has dropped
         //    its channel — replies still come from the shards, which
-        //    are running until step 5.
+        //    are running (and respawned on a crash) until step 5.
         let conns = std::mem::take(&mut *self.connections.lock().unwrap());
         for h in conns {
             let _ = h.join();
         }
-        // 4. An executor that crashed after the supervisor's last pass
-        //    would strand its queue (and any swept-but-unanswered
+        // 4. Stop the supervisor (it re-checks the flag every
+        //    poll_interval). An executor that crashed after its last
+        //    pass would strand its queue (and any swept-but-unanswered
         //    jobs): give every dead shard one more recovery so the
         //    drain below really drains everything admitted.
+        self.shared.supervising.store(false, Ordering::SeqCst);
+        if let Some(h) = self.supervisor.take() {
+            let _ = h.join();
+        }
         {
             let mut handles = lock_clean(&self.executors);
             for (i, slot) in handles.iter_mut().enumerate() {
@@ -519,10 +526,10 @@ fn recover_shard(shared: &Arc<Shared>, shard_ix: usize) {
 
 /// Watches the executor threads and respawns any that die, re-queueing
 /// the admitted jobs the casualty was holding. Polls at
-/// `poll_interval`; exits when shutdown clears `accepting` (after which
-/// `shutdown_inner` does one final recovery pass itself).
+/// `poll_interval`; exits when shutdown clears `supervising` (after
+/// which `shutdown_inner` does one final recovery pass itself).
 fn supervisor_loop(shared: &Arc<Shared>, executors: &Arc<Mutex<Vec<Option<JoinHandle<()>>>>>) {
-    while shared.accepting.load(Ordering::SeqCst) {
+    while shared.supervising.load(Ordering::SeqCst) {
         std::thread::sleep(shared.cfg.poll_interval);
         let nshards = shared.shards.len();
         for i in 0..nshards {
@@ -538,7 +545,7 @@ fn supervisor_loop(shared: &Arc<Shared>, executors: &Arc<Mutex<Vec<Option<JoinHa
             if let Some(h) = handle {
                 let _ = h.join();
             }
-            if !shared.accepting.load(Ordering::SeqCst) {
+            if !shared.supervising.load(Ordering::SeqCst) {
                 // Shutdown owns recovery from here.
                 return;
             }

@@ -897,6 +897,60 @@ fn crashed_executor_is_respawned_and_requeued_jobs_complete() {
 }
 
 #[test]
+fn executor_crash_during_shutdown_drain_is_recovered() {
+    // A job admitted just before shutdown whose executor crashes only
+    // after shutdown began: the coalesce window holds the sweep (and so
+    // the crash) until shutdown is joining the connection, whose writer
+    // waits for that job's reply. The supervisor must still respawn the
+    // executor then, or the reply never comes and shutdown hangs.
+    let server = server_with(ServerConfig {
+        executor_shards: 1,
+        poll_interval: Duration::from_millis(10),
+        coalesce_window: Duration::from_millis(300),
+        chaos: Some(ChaosConfig {
+            seed: 3,
+            fault_rate: 0.0,
+            accept_reset_rate: 0.0,
+            panic_every: 0,
+            crash_every: 1,
+        }),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let id = client
+        .register_template(&generators::complete_graph(3))
+        .unwrap();
+    let solve = client
+        .submit(&Request::Solve {
+            template_id: id,
+            deadline_ms: 0,
+            instance: instances().remove(0),
+        })
+        .unwrap();
+    // Frames are read in order: once Status is answered, the solve is
+    // admitted and its executor is inside the coalesce window.
+    client.submit(&Request::Status).unwrap();
+    assert!(matches!(client.recv().unwrap().1, Response::Status(_)));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+        "shutdown hung on a job stranded by an executor crash"
+    );
+    // It crashed both executors that swept it, so it is answered with a
+    // typed error rather than a third attempt.
+    match client.recv().unwrap() {
+        (got, Response::Error { code, .. }) => {
+            assert_eq!((got, code), (solve, ErrorCode::Internal));
+        }
+        other => panic!("expected the stranded job's Internal error, got {other:?}"),
+    }
+}
+
+#[test]
 fn resilient_client_survives_disconnect_heavy_chaos() {
     // Server-side fault injection at a rate where stalls and mid-frame
     // disconnects are certain across the run. The resilient client must
